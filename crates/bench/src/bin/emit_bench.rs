@@ -3,7 +3,7 @@
 //! and the distributed simulator (all constructed via
 //! [`mudbscan::prelude::Runner`]), collect per-phase times and `obs`
 //! reports, verify exactness against the naive oracle, and write the
-//! schema-versioned `BENCH_PR10.json` trajectory file. Schema v6 added a
+//! schema-versioned `BENCH_PR12.json` trajectory file. Schema v6 added a
 //! served-traffic arm per workload: a seeded trace of batched inserts,
 //! TTL expiries and deletions replayed through `Runner::serve` while
 //! reader threads race the writer (see [`run_serve_traffic`]). Schema v7
@@ -28,7 +28,7 @@
 //! convention the distributed simulator uses for per-rank phase maxima.
 //!
 //! The JSON schema is documented in `docs/BENCH_SCHEMA.md`; the committed
-//! `BENCH_PR10.json` is validated by `crates/bench/tests/bench_schema.rs`
+//! `BENCH_PR12.json` is validated by `crates/bench/tests/bench_schema.rs`
 //! and regenerated with
 //!
 //! ```text
@@ -38,9 +38,9 @@
 //! Environment knobs (all optional, for the CI perf-smoke job):
 //!
 //! * `EMIT_BENCH_N`     — points per workload (default 4000)
-//! * `EMIT_BENCH_OUT`   — output path (default `BENCH_PR10.json`)
-//! * `EMIT_BENCH_REPS`  — repetitions for the overhead measurement
-//!   (default 5)
+//! * `EMIT_BENCH_OUT`   — output path (default `BENCH_PR12.json`)
+//! * `EMIT_BENCH_REPS`  — rounds of the overhead measurement (default 15;
+//!   each round times every arm once, at least 0.2 s of runs per arm)
 //! * `EMIT_BENCH_MAKESPAN_REPS` — constructions per parallel run for the
 //!   makespan statistic; the reported `tree_construction_makespan` is the
 //!   minimum over these, which strips scheduler noise from a quantity
@@ -133,8 +133,16 @@ use obs::Json;
 /// speedup ≥ 1.5× (on oversubscribed hosts the *wall* cannot shrink —
 /// the makespan is plan + max per-worker thread-CPU busy + merge, the
 /// same convention as `tree_construction_makespan`). The committed
-/// trajectory file is `BENCH_PR10.json`.
-const SCHEMA_VERSION: i64 = 9;
+/// trajectory file was `BENCH_PR10.json`.
+/// v10: work counters re-based to the Z-ordered Algorithm-3 scan and the
+/// MC-by-MC Algorithm-6 sweep; `par_mudbscan_tN.wall_secs` covers one
+/// run (the extra makespan constructions run outside the timed region);
+/// the overhead probe interleaves its arms in rotating order over
+/// fixed-work samples of ≥ 0.2 s, reports `runs_per_sample` and each
+/// arm's quartile spread (`iqr_*_secs`), and takes its percentages as
+/// medians of per-round ratios. The committed trajectory file is
+/// `BENCH_PR12.json`.
+const SCHEMA_VERSION: i64 = 10;
 
 /// Below this sharded-arm size the makespan speedup and the residency
 /// budget are fixed-cost noise; the CI smoke run only reports them.
@@ -800,53 +808,74 @@ fn run_serve_delete_heavy(
     (rec, p99)
 }
 
+/// Shortest timed stretch of one overhead sample. A single sequential
+/// run at bench size takes a few milliseconds, far below the scheduler
+/// and frequency noise of a shared host, so each sample repeats the run
+/// a fixed number of times (calibrated once) until this much work is
+/// timed; the live arm's 25 ms poller then also completes several
+/// cycles per sample instead of at most one.
+const OVERHEAD_SAMPLE_SECS: f64 = 0.2;
+
+/// The instrumentation states the overhead probe compares.
+#[derive(Clone, Copy)]
+enum ObsArm {
+    Disabled,
+    Enabled,
+    Traced,
+    Live,
+}
+
+const OBS_ARMS: [ObsArm; 4] = [ObsArm::Disabled, ObsArm::Enabled, ObsArm::Traced, ObsArm::Live];
+
 /// Measure the overhead of the obs instrumentation on the
-/// repro_table2-style workload: median wall time over `reps` runs of
-/// sequential μDBSCAN with collection off, with aggregate collection
-/// (spans + counters + histograms) on, with event tracing on top, and
-/// (schema v8) with the live-telemetry machinery racing the run — a
-/// poller thread draining windowed snapshots off the global collector,
-/// rendering the Prometheus exposition and noting into a flight
-/// recorder, the worst case the serving layer's always-on registry and
-/// recorder add to a computation.
+/// repro_table2-style workload: sequential μDBSCAN with collection off,
+/// with aggregate collection (spans + counters + histograms) on, with
+/// event tracing on top, and (schema v8) with the live-telemetry
+/// machinery racing the run — a poller thread draining windowed
+/// snapshots off the global collector, rendering the Prometheus
+/// exposition and noting into a flight recorder, the worst case the
+/// serving layer's always-on registry and recorder add to a computation.
+///
+/// Each of `reps` rounds takes one sample per arm, the arms in rotating
+/// order so host-speed drift hits every arm alike. A sample times
+/// `runs_per_sample` back-to-back runs (at least [`OVERHEAD_SAMPLE_SECS`]
+/// of work) and reports seconds per run. The overhead percentages are
+/// medians of the per-round ratios to that round's disabled sample.
 fn measure_overhead(data: &Dataset, params: &DbscanParams, reps: usize) -> Json {
     let runner = Runner::new(*params);
-    let median = |mut xs: Vec<f64>| -> f64 {
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-        xs[xs.len() / 2]
-    };
-    let time_runs = |enabled: bool, tracing: bool| -> Vec<f64> {
-        (0..reps)
-            .map(|_| {
-                obs::reset();
-                if enabled {
-                    obs::enable();
-                }
-                if tracing {
-                    obs::enable_tracing();
-                }
-                let (_, t) = timed(|| runner.run(data).expect("sequential run"));
+    let run = || drop(runner.run(data).expect("sequential run"));
+    // Warm-up run so no arm pays first-touch costs; the next three
+    // calibrate the fixed work per sample.
+    run();
+    let (_, calib) = timed(|| (0..3).for_each(|_| run()));
+    let runs_per_sample = ((3.0 * OVERHEAD_SAMPLE_SECS / calib).ceil() as usize).max(1);
+    let timed_runs = || timed(|| (0..runs_per_sample).for_each(|_| run())).1;
+
+    let sample = |arm: ObsArm| -> f64 {
+        obs::reset();
+        let total = match arm {
+            ObsArm::Disabled => timed_runs(),
+            ObsArm::Enabled => {
+                obs::enable();
+                timed_runs()
+            }
+            ObsArm::Traced => {
+                obs::enable();
+                obs::enable_tracing();
+                let t = timed_runs();
                 obs::disable_tracing();
-                obs::disable();
                 let _ = obs::take_trace();
-                obs::reset();
                 t
-            })
-            .collect()
-    };
-    // The poller is paced at a dashboard cadence: each `poll_global`
-    // clones the whole collector state under the global lock, so an
-    // adversarial spin-poll measures lock-hammering, not the
-    // steady-state cost of live export. 25ms guarantees at least one
-    // full poll+render+note cycle per rep at any workload size.
-    let time_live_runs = || -> Vec<f64> {
-        (0..reps)
-            .map(|_| {
-                obs::reset();
+            }
+            // The poller is paced at a dashboard cadence: each
+            // `poll_global` clones the whole collector state under the
+            // global lock, so an adversarial spin-poll measures
+            // lock-hammering, not the steady-state cost of live export.
+            ObsArm::Live => {
                 obs::enable();
                 let stop = std::sync::atomic::AtomicBool::new(false);
                 let recorder = obs::FlightRecorder::new(64);
-                let t = std::thread::scope(|s| {
+                std::thread::scope(|s| {
                     s.spawn(|| {
                         let mut cursor = obs::WindowCursor::new();
                         while !stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -856,39 +885,60 @@ fn measure_overhead(data: &Dataset, params: &DbscanParams, reps: usize) -> Json 
                             std::thread::sleep(std::time::Duration::from_millis(25));
                         }
                     });
-                    let (_, t) = timed(|| runner.run(data).expect("sequential run"));
+                    let t = timed_runs();
                     stop.store(true, std::sync::atomic::Ordering::Relaxed);
                     t
-                });
-                obs::disable();
-                obs::reset();
-                t
-            })
-            .collect()
+                })
+            }
+        };
+        obs::disable();
+        obs::reset();
+        total / runs_per_sample as f64
     };
-    // Warm-up run so no arm pays first-touch costs.
-    let _ = runner.run(data).expect("sequential run");
-    let off = median(time_runs(false, false));
-    let on = median(time_runs(true, false));
-    let traced = median(time_runs(true, true));
-    let live = median(time_live_runs());
-    let pct = if off > 0.0 { 100.0 * (on - off) / off } else { 0.0 };
-    let tracing_pct = if off > 0.0 { 100.0 * (traced - off) / off } else { 0.0 };
-    let live_pct = if off > 0.0 { 100.0 * (live - off) / off } else { 0.0 };
+
+    let reps = reps.max(3);
+    // samples[arm][round], each round visiting the arms in rotated order.
+    let mut samples: [Vec<f64>; 4] = Default::default();
+    for r in 0..reps {
+        for i in 0..OBS_ARMS.len() {
+            let a = (r + i) % OBS_ARMS.len();
+            samples[a].push(sample(OBS_ARMS[a]));
+        }
+    }
+    // (median, q3 − q1) by nearest rank.
+    let stats = |xs: &[f64]| -> (f64, f64) {
+        let mut xs = xs.to_vec();
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
+        let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+        (at(0.5), at(0.75) - at(0.25))
+    };
+    let slowdown_pct = |arm: usize| -> f64 {
+        let ratios: Vec<f64> =
+            samples[arm].iter().zip(&samples[0]).map(|(x, off)| 100.0 * (x / off - 1.0)).collect();
+        stats(&ratios).0
+    };
+    let [off, on, traced, live] = [0, 1, 2, 3].map(|a| stats(&samples[a]));
+    let (pct, tracing_pct, live_pct) = (slowdown_pct(1), slowdown_pct(2), slowdown_pct(3));
     println!(
-        "instrumentation overhead: disabled {} vs enabled {} ({pct:+.2}%) vs traced {} \
-         ({tracing_pct:+.2}%) vs live-polled {} ({live_pct:+.2}%)",
-        secs(off),
-        secs(on),
-        secs(traced),
-        secs(live)
+        "instrumentation overhead ({reps} rounds x {runs_per_sample} runs): disabled {} vs \
+         enabled {} ({pct:+.2}%) vs traced {} ({tracing_pct:+.2}%) vs live-polled {} \
+         ({live_pct:+.2}%)",
+        secs(off.0),
+        secs(on.0),
+        secs(traced.0),
+        secs(live.0)
     );
     Json::obj_from([
         ("reps".to_string(), count(reps as u64)),
-        ("median_disabled_secs".to_string(), num(off)),
-        ("median_enabled_secs".to_string(), num(on)),
-        ("median_traced_secs".to_string(), num(traced)),
-        ("median_live_secs".to_string(), num(live)),
+        ("runs_per_sample".to_string(), count(runs_per_sample as u64)),
+        ("median_disabled_secs".to_string(), num(off.0)),
+        ("iqr_disabled_secs".to_string(), num(off.1)),
+        ("median_enabled_secs".to_string(), num(on.0)),
+        ("iqr_enabled_secs".to_string(), num(on.1)),
+        ("median_traced_secs".to_string(), num(traced.0)),
+        ("iqr_traced_secs".to_string(), num(traced.1)),
+        ("median_live_secs".to_string(), num(live.0)),
+        ("iqr_live_secs".to_string(), num(live.1)),
         ("overhead_pct".to_string(), num(pct)),
         ("tracing_overhead_pct".to_string(), num(tracing_pct)),
         ("live_overhead_pct".to_string(), num(live_pct)),
@@ -1145,9 +1195,9 @@ fn makespan_of(details: &RunDetails) -> f64 {
 
 fn main() {
     let n = env_usize("EMIT_BENCH_N", 4000);
-    let reps = env_usize("EMIT_BENCH_REPS", 5);
+    let reps = env_usize("EMIT_BENCH_REPS", 15);
     let out_path =
-        std::env::var("EMIT_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
+        std::env::var("EMIT_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR12.json".to_string());
 
     bench::banner(
         "emit_bench",
@@ -1176,23 +1226,22 @@ fn main() {
         for threads in [1usize, 4] {
             let label = format!("par_mudbscan_t{threads}");
             let runner = Runner::new(params).family(Family::Parallel).threads(threads);
+            // The makespan is a single-digit-millisecond quantity, so a
+            // single shot is at the mercy of the scheduler. Repeat the
+            // construction here, before and outside the timed run (obs is
+            // off between arms), and fold the minimum into the run's own.
+            let extra_makespan = (1..makespan_reps.max(1))
+                .filter_map(|_| match runner.run(&data).expect("parallel run").details {
+                    RunDetails::Parallel { build_stats: Some(s), .. } => Some(s.makespan_secs),
+                    _ => None,
+                })
+                .fold(f64::INFINITY, f64::min);
             runs.push(run_one(&label, name, &data, &params, &reference, || {
                 let out = runner.run(&data).expect("parallel run");
                 let mut meta = RunMeta::from_output(&out);
-                // The makespan is a single-digit-millisecond quantity, so a
-                // single shot is at the mercy of the scheduler. Repeat the
-                // construction (observability paused: counters and obs must
-                // reflect exactly one run) and keep the minimum.
-                obs::disable();
-                for _ in 1..makespan_reps.max(1) {
-                    let extra = runner.run(&data).expect("parallel run");
-                    if let (Some(m), RunDetails::Parallel { build_stats: Some(s), .. }) =
-                        (meta.tree_construction_makespan.as_mut(), &extra.details)
-                    {
-                        *m = m.min(s.makespan_secs);
-                    }
+                if let Some(m) = meta.tree_construction_makespan.as_mut() {
+                    *m = m.min(extra_makespan);
                 }
-                obs::enable();
                 (out.clustering, meta)
             }));
         }

@@ -1,4 +1,4 @@
-//! Validate the committed `BENCH_PR10.json` trajectory against the schema
+//! Validate the committed `BENCH_PR12.json` trajectory against the schema
 //! documented in `docs/BENCH_SCHEMA.md`.
 //!
 //! The CI perf-smoke job points `BENCH_SCHEMA_FILE` at a freshly emitted
@@ -41,7 +41,7 @@ fn trajectory_path() -> std::path::PathBuf {
         return p.into();
     }
     // crates/bench -> repository root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR10.json")
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR12.json")
 }
 
 /// The acceptance budget for the live-telemetry arm of the overhead
@@ -70,9 +70,9 @@ fn committed_trajectory_matches_schema() {
     let path = trajectory_path();
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let root = Json::parse(&text).expect("BENCH_PR10.json must be valid JSON");
+    let root = Json::parse(&text).expect("BENCH_PR12.json must be valid JSON");
 
-    assert_eq!(get_f64(&root, "schema_version"), 9.0, "schema_version must be 9");
+    assert_eq!(get_f64(&root, "schema_version"), 10.0, "schema_version must be 10");
     assert_eq!(get_f64(&root, "seed"), 2019.0, "pinned seed");
     let points_per_workload = get_f64(&root, "points_per_workload");
     assert!(points_per_workload >= 100.0);
@@ -511,6 +511,12 @@ fn committed_trajectory_matches_schema() {
     );
     // Schema v8: the live-telemetry arm, budgeted at bench size.
     assert!(get_f64(overhead, "median_live_secs") > 0.0, "schema v8: live-polled arm");
+    // Schema v10: fixed-work samples, and each arm's spread beside its median.
+    assert!(get_f64(overhead, "runs_per_sample") >= 1.0, "schema v10: runs_per_sample");
+    for arm in ["disabled", "enabled", "traced", "live"] {
+        let iqr = get_f64(overhead, &format!("iqr_{arm}_secs"));
+        assert!(iqr >= 0.0, "schema v10: iqr_{arm}_secs must be non-negative");
+    }
     let live_pct = overhead
         .get("live_overhead_pct")
         .and_then(Json::as_f64)

@@ -244,6 +244,10 @@ pub fn process_micro_clusters(
 
 /// Algorithm 6: ε-queries for every point not tagged wndq-core, with the
 /// disjoint-set union rules and dynamic wndq-core promotion.
+///
+/// Points are visited MC by MC (`mcs[0].members`, `mcs[1].members`, …)
+/// rather than in id order: consecutive queries then search the same
+/// reachable list and the same auxiliary trees, which stay in cache.
 pub fn process_rem_points(
     data: &Dataset,
     params: &DbscanParams,
@@ -255,7 +259,7 @@ pub fn process_rem_points(
     let half_sq = half * half;
     let mut nbhrs: Vec<PointId> = Vec::new();
 
-    for p in data.ids() {
+    for p in state.tree.mcs.iter().flat_map(|mc| mc.members.iter().copied()) {
         if state.wndq[p as usize] {
             counters.count_query_saved();
             continue;
@@ -575,36 +579,41 @@ mod tests {
     /// Step 3's *dynamic promotion* — after the candidate was examined —
     /// must be rescued into that cluster.
     ///
-    /// Construction (ε = 1, MinPts = 5), ids in scan order:
-    ///   0  p = (1.4, 0)   the noise candidate; N(p) = {p, q}, examined first
-    ///   1  x = (0, 0)     step-3 core whose ε/2-ball holds 5 points → promotes
-    ///   2..4 a, b, c      (±0.3, 0), (0, 0.3): x's inner circle
-    ///   5  q = (0.45, 0)  in p's MC; promoted by x's query, never queried itself
+    /// Construction (ε = 1, MinPts = 5), listed in the MC visit order of
+    /// Step 3 (Z-order scan: MC0 = {s, p, x, q}, MC1 = {b, c, a}):
+    ///   6  s = (−0.7, −0.7)   MC0's center; N(s) = {s, p, x, q}, non-core
+    ///   0  p = (0.15, −0.6)   the noise candidate; N(p) = {p, s, q}
+    ///   1  x = (−0.75, 0.15)  step-3 core whose ε/2-ball holds 5 points → promotes
+    ///   5  q = (−0.5, 0.05)   in x's inner circle; promoted, never queried itself
+    ///   3, 4, 2  b, c, a      x's remaining inner circle, MC1 (deferred by the
+    ///                         first scan, gathered by the second)
     ///
-    /// MC structure keeps everything Sparse (MC{p,q} has 2 members,
-    /// MC{x,a,b,c} has 4 < MinPts), so no step-1b wndq shortcut exists: at
-    /// p's turn nothing is core yet and p lands on the noise list. x's
-    /// query then promotes q (inner circle {x,a,b,c,q} reaches MinPts), and
-    /// q's own turn is skipped as a saved query — q is core *only* through
-    /// the promotion. Algorithm 8 must attach p to q's cluster.
+    /// MC structure keeps everything Sparse (4 and 3 members < MinPts), so
+    /// no step-1b wndq shortcut exists: at s's and p's turns nothing is
+    /// core yet and both land on the noise list. x's query then claims s
+    /// as a border point and promotes q, a, b, c (inner circle
+    /// {x, q, a, b, c} reaches MinPts); their own turns are skipped as
+    /// saved queries — q is core *only* through the promotion, and p is
+    /// more than ε from x. Algorithm 8 must attach p to q's cluster.
     #[test]
     fn noise_rescued_after_dynamic_promotion() {
         let rows = vec![
-            vec![1.4, 0.0],  // 0: p
-            vec![0.0, 0.0],  // 1: x
-            vec![0.3, 0.0],  // 2: a
-            vec![-0.3, 0.0], // 3: b
-            vec![0.0, 0.3],  // 4: c
-            vec![0.45, 0.0], // 5: q
+            vec![0.15, -0.6],  // 0: p
+            vec![-0.75, 0.15], // 1: x
+            vec![-0.4, 0.45],  // 2: a
+            vec![-1.1, 0.3],   // 3: b
+            vec![-0.7, 0.35],  // 4: c
+            vec![-0.5, 0.05],  // 5: q
+            vec![-0.7, -0.7],  // 6: s
         ];
         let data = Dataset::from_rows(&rows);
         let params = DbscanParams::new(1.0, 5);
         let out = MuDbscan::from_params(params).run(&data);
 
-        // The scenario actually exercised the promotion path: only p and x
-        // ran neighbourhood queries; a, b, c, q were all saved by wndq tags.
-        assert_eq!(out.counters.range_queries(), 2, "expected only p and x to query");
-        assert_eq!(out.counters.queries_saved(), 4, "a, b, c, q must skip their queries");
+        // The scenario actually exercised the promotion path: only s, p and
+        // x ran neighbourhood queries; q, a, b, c were saved by wndq tags.
+        assert_eq!(out.counters.range_queries(), 3, "expected only s, p and x to query");
+        assert_eq!(out.counters.queries_saved(), 4, "q, a, b, c must skip their queries");
 
         // p was rescued: border of the single cluster, not noise.
         assert_eq!(out.clustering.n_clusters, 1);
@@ -615,6 +624,7 @@ mod tests {
         for i in 1..6 {
             assert!(out.clustering.is_core[i], "point {i} must be core");
         }
+        assert!(out.clustering.is_border(6), "s must be a border point");
 
         // And the full oracle agrees (also under the no-promotion ablation,
         // where q instead becomes core through its own later query).

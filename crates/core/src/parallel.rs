@@ -9,11 +9,14 @@
 //!   is inherently ordered, so the parallel path tiles space into 2ε
 //!   cells, scans tiles on workers and reconciles boundary conflicts
 //!   sequentially (pin `BuildOptions::default()` via
-//!   [`ParMuDbscan::with_options`] to recover the paper's exact
-//!   construction order);
+//!   [`ParMuDbscan::with_options`] to run the sequential Z-ordered
+//!   Algorithm-3 scan that `MuDbscan` uses);
 //! * MC classification, `PROCESS-REM-POINTS` and `POST-PROCESSING-*` run
 //!   on a pool of worker threads over disjoint chunks, sharing a
 //!   lock-free [`ConcurrentUnionFind`] and per-point atomic flags.
+//!   `PROCESS-REM-POINTS` takes its chunks from the MC-by-MC visit order
+//!   of the sequential version, so at one thread both run the same query
+//!   sequence.
 //!
 //! Exactness under concurrency hinges on one rule: a **non-core**
 //! neighbour may be claimed by at most one cluster, so the
@@ -235,10 +238,15 @@ impl ParMuDbscan {
         // Step 3 (parallel): PROCESS-REM-POINTS. Unlike the sequential
         // version, dynamically promoted wndq-cores may already have been
         // queried by another thread — that costs extra queries but never
-        // correctness.
+        // correctness. Chunks are cut from the same MC-by-MC visit order
+        // the sequential version uses, so a chunk's queries share reach
+        // lists and aux trees, and at t = 1 the query sequence is the
+        // sequential one.
         let noise_list: Mutex<Vec<(PointId, Vec<PointId>)>> = Mutex::new(Vec::new());
         let half = params.eps / 2.0;
         let half_sq = half * half;
+        let visit: Vec<PointId> =
+            tree.mcs.iter().flat_map(|mc| mc.members.iter().copied()).collect();
         {
             let tree = &tree;
             let flags = &flags;
@@ -246,12 +254,13 @@ impl ParMuDbscan {
             let counters = &counters;
             let wndq_list = &wndq_list;
             let noise_list = &noise_list;
+            let visit = &visit;
             parallel_for_chunks(self.threads, n, move |range| {
                 let mut local_noise = Vec::new();
                 let mut local_wndq = Vec::new();
                 let mut nbhrs: Vec<PointId> = Vec::new();
-                for pi in range {
-                    let p = pi as PointId;
+                for &p in &visit[range] {
+                    let pi = p as usize;
                     if flags.wndq[pi].load(Ordering::Acquire) {
                         counters.count_query_saved();
                         continue;

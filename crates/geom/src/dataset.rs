@@ -156,6 +156,55 @@ impl Dataset {
         }
         Some((lo, hi))
     }
+
+    /// All point ids in Z-order (Morton order) over [`Self::bounding_box`].
+    ///
+    /// Each coordinate is quantised to `⌊64/d⌋` bits (at most 21) over
+    /// its axis' extent, and the bits are interleaved into one `u64` key,
+    /// most significant level first. A zero-extent axis quantises to 0;
+    /// for `d > 64` the key is empty. Equal keys are ordered by their
+    /// coordinates (lexicographically), then by id, so the order is a
+    /// total, deterministic permutation that depends only on the point
+    /// *set*: shuffling the rows maps each point to the same rank (equal
+    /// points swap ranks among themselves).
+    ///
+    /// One pass computes the keys without per-point allocation; the
+    /// transient `(key, id)` array costs 16 bytes per point.
+    pub fn morton_order(&self) -> Vec<PointId> {
+        let Some((lo, hi)) = self.bounding_box() else { return Vec::new() };
+        let dim = self.dim;
+        let bits = (64 / dim).min(21) as u32;
+        let max_q = ((1u64 << bits) - 1) as f64;
+        // Per-axis scale into [0, 2^bits − 1]; 0 for a zero-extent axis.
+        let scale: Vec<f64> =
+            lo.iter().zip(&hi).map(|(&l, &h)| if h > l { max_q / (h - l) } else { 0.0 }).collect();
+        let mut keyed: Vec<(u64, PointId)> = Vec::with_capacity(self.len());
+        for (id, p) in self.iter() {
+            let mut key = 0u64;
+            for k in 0..dim {
+                // In [0, max_q] up to a rounding error far below 1, which
+                // the truncating cast absorbs.
+                let q = ((p[k] - lo[k]) * scale[k]) as u64;
+                for b in 0..bits {
+                    key |= ((q >> b) & 1) << (b as usize * dim + k);
+                }
+            }
+            keyed.push((key, id));
+        }
+        keyed.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| {
+                    let (pa, pb) = (self.point(a.1), self.point(b.1));
+                    pa.iter()
+                        .zip(pb)
+                        .map(|(x, y)| x.total_cmp(y))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .then(a.1.cmp(&b.1))
+        });
+        keyed.into_iter().map(|(_, id)| id).collect()
+    }
 }
 
 impl fmt::Debug for Dataset {
@@ -272,6 +321,107 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn from_flat_validates_len() {
         Dataset::from_flat(3, vec![1.0, 2.0]);
+    }
+
+    /// Deterministic pseudo-random rows in `[-10, 10)^dim`.
+    fn lcg_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut s = seed;
+        let mut r = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) * 20.0 - 10.0
+        };
+        (0..n).map(|_| (0..dim).map(|_| r()).collect()).collect()
+    }
+
+    fn assert_permutation(order: &[PointId], n: usize) {
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n as PointId).collect::<Vec<_>>(), "not a permutation");
+    }
+
+    /// Ids sorted lexicographically by coordinates, then by id.
+    fn lexicographic(d: &Dataset) -> Vec<PointId> {
+        let mut ids: Vec<PointId> = d.ids().collect();
+        ids.sort_by(|&a, &b| d.point(a).partial_cmp(d.point(b)).expect("finite").then(a.cmp(&b)));
+        ids
+    }
+
+    #[test]
+    fn morton_order_is_a_deterministic_permutation() {
+        let d = Dataset::from_rows(&lcg_rows(500, 3, 11));
+        let order = d.morton_order();
+        assert_permutation(&order, d.len());
+        assert_eq!(order, d.morton_order(), "two calls disagree");
+    }
+
+    #[test]
+    fn morton_order_of_tiny_datasets() {
+        assert!(Dataset::empty(3).morton_order().is_empty());
+        assert_eq!(Dataset::from_rows(&[vec![4.0, -1.0]]).morton_order(), vec![0]);
+    }
+
+    #[test]
+    fn morton_order_of_identical_points_is_id_order() {
+        let d = Dataset::from_rows(&vec![vec![2.5, -1.0, 7.0]; 9]);
+        assert_eq!(d.morton_order(), (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn morton_order_traces_the_z_curve() {
+        // Axis 0 is the low bit of each level: (0,0) (1,0) (0,1) (1,1).
+        let d =
+            Dataset::from_rows(&[vec![1.0, 1.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![0.0, 0.0]]);
+        assert_eq!(d.morton_order(), vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn morton_order_with_a_zero_extent_axis() {
+        // y is constant: the key reduces to x alone, so the order is the
+        // x order (with coordinate and id tie-breaks).
+        let mut rows = lcg_rows(200, 1, 5);
+        rows.extend(rows.clone()); // duplicates exercise the id tie-break
+        let rows: Vec<Vec<f64>> = rows.into_iter().map(|r| vec![r[0], 3.0]).collect();
+        let d = Dataset::from_rows(&rows);
+        assert_eq!(d.morton_order(), lexicographic(&d));
+    }
+
+    #[test]
+    fn morton_order_in_one_dimension_sorts_by_value() {
+        let mut rows = lcg_rows(300, 1, 9);
+        rows.push(rows[17].clone());
+        let d = Dataset::from_rows(&rows);
+        assert_eq!(d.morton_order(), lexicographic(&d));
+    }
+
+    #[test]
+    fn morton_order_in_22_dimensions_groups_clusters() {
+        // ⌊64/22⌋ = 2 bits per axis. Two blobs hugging opposite corners
+        // of the bounding box fall in disjoint top-level cells, so the
+        // order visits one blob entirely before the other.
+        let mut rows: Vec<Vec<f64>> =
+            lcg_rows(40, 22, 3).into_iter().map(|r| r.iter().map(|x| x * 0.01).collect()).collect();
+        let far: Vec<Vec<f64>> = lcg_rows(40, 22, 4)
+            .into_iter()
+            .map(|r| r.iter().map(|x| 100.0 + x * 0.01).collect())
+            .collect();
+        for (i, r) in far.into_iter().enumerate() {
+            rows.insert(2 * i + 1, r); // interleave the blobs by id
+        }
+        let d = Dataset::from_rows(&rows);
+        let order = d.morton_order();
+        assert_permutation(&order, d.len());
+        let near: Vec<bool> = order.iter().map(|&id| d.point(id)[0] < 50.0).collect();
+        assert!(near[..40].iter().all(|&b| b), "the near blob must come first");
+        assert!(near[40..].iter().all(|&b| !b), "then the far blob");
+    }
+
+    #[test]
+    fn morton_order_beyond_64_dimensions_is_lexicographic() {
+        // ⌊64/65⌋ = 0 bits: every key is empty and the tie-breaks decide.
+        let mut rows = lcg_rows(60, 65, 21);
+        rows.push(rows[3].clone());
+        let d = Dataset::from_rows(&rows);
+        assert_eq!(d.morton_order(), lexicographic(&d));
     }
 
     #[test]

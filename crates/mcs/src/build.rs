@@ -1,6 +1,7 @@
 //! Micro-cluster construction — paper Algorithm 3 (BUILD-MICRO-CLUSTERS).
 //!
-//! Single scan over the points:
+//! Single scan over the points, in Z-order ([`Dataset::morton_order`])
+//! rather than the paper's input order:
 //!
 //! 1. if some MC center lies strictly within ε of the point, the point
 //!    joins that MC (first found);
@@ -12,6 +13,16 @@
 //! A second scan assigns the deferred points: join an MC within ε if one
 //! exists by now, else become a new center. Finally each MC gets an STR
 //! bulk-loaded auxiliary R-tree.
+//!
+//! The scan order is free: every order yields a valid ε-ball cover
+//! (exclusive membership, members strictly within ε of their center),
+//! and the clustering built on any such cover is exact. Z-order makes
+//! consecutive points fall into the same MC and descend the same level-1
+//! path, so the scan stays cache-resident, and it numbers MCs along the
+//! curve, so walking the MC list in id order (as Algorithm 6 does) also
+//! moves through space. Because the order depends only on the point set,
+//! shuffling the input rows changes neither the MC cover (as sets of
+//! coordinates) nor the work counters.
 
 use crate::micro::{McId, MicroCluster, NO_MC};
 use crate::murtree::MuRTree;
@@ -34,8 +45,9 @@ pub struct BuildOptions {
     pub aux_cfg: RTreeConfig,
     /// Use the tiled parallel construction path
     /// ([`crate::build_micro_clusters_par`]) instead of the sequential
-    /// Algorithm-3 scan. Off by default so the sequential algorithms keep
-    /// the paper's exact construction order; [`ParMuDbscan`] turns it on.
+    /// Z-ordered Algorithm-3 scan. Off by default so the sequential
+    /// algorithms run Algorithm 3 itself (one scan, no tiling);
+    /// [`ParMuDbscan`] turns it on.
     ///
     /// [`ParMuDbscan`]: ../mudbscan/struct.ParMuDbscan.html
     pub parallel: bool,
@@ -83,7 +95,8 @@ pub fn build_micro_clusters(
     // node visit per point, 1–2 dists per hit), skewing every downstream
     // query-save percentage.
     let scan1 = obs::span!("scan_assign");
-    for (p, coords) in data.iter() {
+    for p in data.morton_order() {
+        let coords = data.point(p);
         let (hit, cost) = level1.first_in_sphere(coords, eps);
         counters.count_node_visits(cost.nodes_visited.max(1));
         counters.count_dists(cost.mbr_tests);

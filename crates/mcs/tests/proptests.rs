@@ -1,12 +1,43 @@
 //! Property tests for micro-cluster construction and the μR-tree.
 
-use geom::{dist_euclidean, Dataset};
-use mcs::{build_micro_clusters, BuildOptions, McKind, NO_MC};
+use geom::{dist_euclidean, Dataset, DbscanParams};
+use mcs::{build_micro_clusters, BuildOptions, McKind, MuRTree, NO_MC};
 use metrics::Counters;
+use mudbscan_core::MuDbscan;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn points(dim: usize, max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-20.0..20.0f64, dim), 1..max_n)
+}
+
+/// The MC cover as a sorted multiset of (center coordinates, sorted
+/// member coordinates), with coordinates compared by their bits — the
+/// identity of a cover independent of point ids.
+fn cover(data: &Dataset, t: &MuRTree) -> Vec<(Vec<u64>, Vec<Vec<u64>>)> {
+    let bits = |id: u32| data.point(id).iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut out: Vec<_> = t
+        .mcs
+        .iter()
+        .map(|mc| {
+            let mut members: Vec<Vec<u64>> = mc.members.iter().map(|&m| bits(m)).collect();
+            members.sort_unstable();
+            (bits(mc.center), members)
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// Fisher–Yates shuffle of the rows, seeded.
+fn shuffled(rows: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = rows.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..i + 1));
+    }
+    out
 }
 
 proptest! {
@@ -128,5 +159,35 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn presentation_order_changes_nothing(
+        rows in points(3, 250),
+        dups in 0usize..20,
+        seed in 0u64..u64::MAX,
+        eps in 0.5..6.0f64,
+        min_pts in 2usize..7,
+    ) {
+        // The Z-order scan depends only on the point set: shuffling the
+        // rows must leave the MC cover and the Sequential work counters
+        // unchanged. Duplicate rows exercise the coordinate/id tie-breaks.
+        let mut rows = rows;
+        for i in 0..dups.min(rows.len()) {
+            rows.push(rows[i * 7 % rows.len()].clone());
+        }
+        let a = Dataset::from_rows(&rows);
+        let b = Dataset::from_rows(&shuffled(&rows, seed));
+        let (ca, cb) = (Counters::new(), Counters::new());
+        let ta = build_micro_clusters(&a, eps, &BuildOptions::default(), &ca);
+        let tb = build_micro_clusters(&b, eps, &BuildOptions::default(), &cb);
+        prop_assert_eq!(cover(&a, &ta), cover(&b, &tb));
+
+        let params = DbscanParams::new(eps, min_pts);
+        let ra = MuDbscan::from_params(params).run(&a).counters;
+        let rb = MuDbscan::from_params(params).run(&b).counters;
+        prop_assert_eq!(ra.range_queries(), rb.range_queries());
+        prop_assert_eq!(ra.dist_computations(), rb.dist_computations());
+        prop_assert_eq!(ra.node_visits(), rb.node_visits());
     }
 }
